@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Perf-regression gate: re-runs the trajectory-anchored benches and diffs
-# their BENCH_*.json artifacts against the most recent bench/trajectory/
-# snapshot with bench/compare.py.
+# their BENCH_*.json artifacts against bench/trajectory/ with
+# bench/compare.py. Each bench is compared with the latest snapshot that
+# recorded it, so a snapshot holding only some benches (pr9 holds only
+# bench_strategies) does not leave the others ungated.
 #
 # Usage:
 #   scripts/check_bench.sh [--build-dir=DIR] [--threshold=F]
@@ -26,21 +28,33 @@ done
 
 cd "$(dirname "$0")/.."
 
-# Latest snapshot: trajectory dirs are named pr<N>; highest N wins.
-BASELINE=$(ls -d bench/trajectory/*/ 2>/dev/null | sort -V | tail -1)
-if [ -z "$BASELINE" ]; then
+REPO=$(pwd -P)
+OUT=$(mktemp -d)
+BASELINE="$OUT/baseline"
+CURRENT="$OUT/current"
+mkdir "$BASELINE" "$CURRENT"
+trap 'rm -rf "$OUT"' EXIT
+
+# Trajectory dirs are named pr<N>. Walking them in version order, a later
+# snapshot's BENCH_<name>.json replaces an earlier one, which leaves the
+# latest recording of every bench in $BASELINE.
+SNAPSHOTS=$(ls -d bench/trajectory/*/ 2>/dev/null | sort -V)
+for snap in $SNAPSHOTS; do
+  for json in "$snap"BENCH_*.json; do
+    [ -e "$json" ] || continue
+    ln -sf "$REPO/$json" "$BASELINE/$(basename "$json")"
+  done
+done
+ANCHORED=$(cd "$BASELINE" && ls BENCH_*.json 2>/dev/null | sed 's/^BENCH_//; s/\.json$//')
+if [ -z "$ANCHORED" ]; then
   echo "no bench/trajectory/ snapshot to compare against" >&2
   exit 1
 fi
-echo "baseline: $BASELINE (threshold ${THRESHOLD})"
+echo "baselines (threshold ${THRESHOLD}):"
+for name in $ANCHORED; do
+  echo "  $name: $(readlink "$BASELINE/BENCH_$name.json" | sed "s|^$REPO/||")"
+done
 
-# Only the benches the trajectory actually anchors; compare.py skips
-# benches missing from either side, so running more would be wasted time.
-ANCHORED=$(cd "$BASELINE" && ls BENCH_*.json | sed 's/^BENCH_//; s/\.json$//')
-
-REPO=$(pwd -P)
-OUT=$(mktemp -d)
-trap 'rm -rf "$OUT"' EXIT
 for name in $ANCHORED; do
   bin="$REPO/$BUILD_DIR/bench/$name"
   if [ ! -x "$bin" ]; then
@@ -48,7 +62,7 @@ for name in $ANCHORED; do
     exit 1
   fi
   echo "running $name ..."
-  (cd "$OUT" && "$bin" --json >/dev/null)
+  (cd "$CURRENT" && "$bin" --json >/dev/null)
 done
 
-python3 bench/compare.py "$BASELINE" "$OUT" --threshold="$THRESHOLD"
+python3 bench/compare.py "$BASELINE" "$CURRENT" --threshold="$THRESHOLD"

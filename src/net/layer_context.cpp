@@ -2,6 +2,45 @@
 
 namespace lm::net {
 
+NodeStats& NodeStats::operator+=(const NodeStats& o) {
+  beacons_sent += o.beacons_sent;
+  beacons_received += o.beacons_received;
+  routing_changes += o.routing_changes;
+  datagrams_sent += o.datagrams_sent;
+  datagrams_delivered += o.datagrams_delivered;
+  broadcasts_sent += o.broadcasts_sent;
+  broadcasts_delivered += o.broadcasts_delivered;
+  packets_forwarded += o.packets_forwarded;
+  dropped_no_route += o.dropped_no_route;
+  dropped_ttl += o.dropped_ttl;
+  dropped_queue_full += o.dropped_queue_full;
+  malformed_frames += o.malformed_frames;
+  foreign_frames += o.foreign_frames;
+  beacons_ignored_low_quality += o.beacons_ignored_low_quality;
+  cad_busy_events += o.cad_busy_events;
+  forced_transmissions += o.forced_transmissions;
+  duty_cycle_delays += o.duty_cycle_delays;
+  control_bytes_sent += o.control_bytes_sent;
+  data_bytes_sent += o.data_bytes_sent;
+  control_airtime += o.control_airtime;
+  data_airtime += o.data_airtime;
+  acked_sent += o.acked_sent;
+  acked_confirmed += o.acked_confirmed;
+  acked_failed += o.acked_failed;
+  acked_retransmissions += o.acked_retransmissions;
+  acked_delivered += o.acked_delivered;
+  acked_duplicates += o.acked_duplicates;
+  acks_sent += o.acks_sent;
+  transfers_started += o.transfers_started;
+  transfers_completed += o.transfers_completed;
+  transfers_failed += o.transfers_failed;
+  transfers_received += o.transfers_received;
+  rx_sessions_rejected += o.rx_sessions_rejected;
+  fragments_sent += o.fragments_sent;
+  fragments_retransmitted += o.fragments_retransmitted;
+  return *this;
+}
+
 void LayerContext::trace_packet(trace::EventKind kind, const Packet& packet,
                                 trace::DropReason reason, std::int64_t aux_us,
                                 double value) {

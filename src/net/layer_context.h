@@ -71,6 +71,9 @@ struct NodeStats {
   std::uint64_t rx_sessions_rejected = 0;  // SYNCs refused at the session cap
   std::uint64_t fragments_sent = 0;
   std::uint64_t fragments_retransmitted = 0;
+
+  /// Adds every counter of `o` (network totals sum node by node).
+  NodeStats& operator+=(const NodeStats& o);
 };
 
 struct LayerContext {

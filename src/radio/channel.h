@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -307,7 +306,6 @@ class Channel {
   std::vector<Transmission*> spare_;
   support::SlidingQueue<Transmission*> active_;
   std::size_t in_flight_n_ = 0;
-  mutable std::map<std::pair<RadioId, RadioId>, double> shadowing_;
   // Link-loss cache as flat per-transmitter rows indexed by the tx ordinal,
   // each row sorted by rx ordinal: one vector index plus a short binary
   // search over contiguous memory on the per-reception path, where the old

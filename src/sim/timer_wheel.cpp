@@ -2,17 +2,6 @@
 
 namespace lm::sim {
 
-std::size_t TimerWheel::min_index(const SlotVec& v) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i].at < v[best].at ||
-        (v[i].at == v[best].at && v[i].seq < v[best].seq)) {
-      best = i;
-    }
-  }
-  return best;
-}
-
 bool TimerWheel::peek(Entry& out) {
   if (size_ == 0) return false;
   if (cached_) {
@@ -28,28 +17,17 @@ bool TimerWheel::peek(Entry& out) {
     if (bits == 0) continue;
     const int idx = std::countr_zero(bits);
     const SlotVec& v = wheel_[l][idx];
-    const std::size_t m = min_index(v);
-    cache_ = v[m];
+    // A level-0 slot is a FIFO of one timestamp: its head is the minimum.
+    cache_ = l == 0 ? v[head0_[idx]]
+                    : *std::min_element(v.begin(), v.end(), earlier);
     cached_ = true;
-    cache_l0_ = (l == 0);
-    cache_idx_ = idx;
-    cache_elem_ = m;
     out = cache_;
     return true;
   }
   // Only overflow entries remain.
   LM_ASSERT(!overflow_.empty());
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < overflow_.size(); ++i) {
-    if (overflow_[i].at < overflow_[best].at ||
-        (overflow_[i].at == overflow_[best].at &&
-         overflow_[i].seq < overflow_[best].seq)) {
-      best = i;
-    }
-  }
-  cache_ = overflow_[best];
+  cache_ = *std::min_element(overflow_.begin(), overflow_.end(), earlier);
   cached_ = true;
-  cache_l0_ = false;
   out = cache_;
   return true;
 }
@@ -69,67 +47,50 @@ void TimerWheel::cascade(int level, int idx) {
 }
 
 void TimerWheel::drain_overflow() {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < overflow_.size(); ++i) {
-    if (overflow_[i].at < overflow_[best].at ||
-        (overflow_[i].at == overflow_[best].at &&
-         overflow_[i].seq < overflow_[best].seq)) {
-      best = i;
-    }
-  }
   // Nothing is pending before the overflow minimum, so time may jump there.
-  cur_ = overflow_[best].at;
-  for (std::size_t i = overflow_.size(); i-- > 0;) {
-    const auto diff = static_cast<std::uint64_t>(overflow_[i].at ^ cur_);
-    if (diff < kHorizon) {
-      place(overflow_[i]);
-      overflow_.erase(overflow_.begin() + static_cast<std::ptrdiff_t>(i));
+  cur_ = std::min_element(overflow_.begin(), overflow_.end(), earlier)->at;
+  // Forward, so the placed entries and the ones left behind both stay
+  // seq-sorted.
+  std::size_t kept = 0;
+  for (const Entry& e : overflow_) {
+    if (static_cast<std::uint64_t>(e.at ^ cur_) < kHorizon) {
+      place(e);
+    } else {
+      overflow_[kept++] = e;
     }
   }
+  overflow_.resize(kept);
 }
 
 TimerWheel::Entry TimerWheel::pop_min() {
   LM_ASSERT(size_ > 0);
-  if (cached_ && cache_l0_) {
-    // The usual fire path peeks immediately before popping; the recorded
-    // level-0 location is still exact, so pop without a second scan.
-    cached_ = false;
-    cache_l0_ = false;
-    SlotVec& v = wheel_[0][cache_idx_];
-    LM_ASSERT(cache_elem_ < v.size() && v[cache_elem_].seq == cache_.seq);
-    const Entry e = v[cache_elem_];
-    v.erase(v.begin() + static_cast<std::ptrdiff_t>(cache_elem_));
-    if (v.empty()) occ_[0] &= ~(1ULL << cache_idx_);
-    --size_;
-    cur_ = e.at;
-    return e;
-  }
   cached_ = false;
   for (;;) {
     // Level 0 slots are 64 µs-window aligned: one timestamp per slot, so the
-    // first occupied slot at or after cur_'s low digit is the minimum group.
-    {
-      const int pos = static_cast<int>(cur_ & (kSlots - 1));
-      const std::uint64_t bits = occ_[0] & (~0ULL << pos);
-      if (bits != 0) {
-        const int idx = std::countr_zero(bits);
-        SlotVec& v = wheel_[0][idx];
-        const std::size_t m = min_index(v);
-        const Entry e = v[m];
-        v.erase(v.begin() + static_cast<std::ptrdiff_t>(m));
-        if (v.empty()) occ_[0] &= ~(1ULL << idx);
-        --size_;
-        cur_ = e.at;
-        return e;
+    // first occupied slot at or after cur_'s low digit is the minimum group,
+    // and its head is the minimum entry.
+    const int pos = static_cast<int>(cur_ & (kSlots - 1));
+    const std::uint64_t bits = occ_[0] & (~0ULL << pos);
+    if (bits != 0) {
+      const int idx = std::countr_zero(bits);
+      SlotVec& v = wheel_[0][idx];
+      const Entry e = v[head0_[idx]++];
+      if (head0_[idx] == v.size()) {
+        v.clear();
+        head0_[idx] = 0;
+        occ_[0] &= ~(1ULL << idx);
       }
+      --size_;
+      cur_ = e.at;
+      return e;
     }
     bool cascaded = false;
     for (int l = 1; l < kLevels; ++l) {
-      const int pos =
+      const int lpos =
           static_cast<int>((cur_ >> (kSlotBits * l)) & (kSlots - 1));
-      const std::uint64_t bits = occ_[l] & (~0ULL << pos);
-      if (bits == 0) continue;
-      cascade(l, std::countr_zero(bits));
+      const std::uint64_t lbits = occ_[l] & (~0ULL << lpos);
+      if (lbits == 0) continue;
+      cascade(l, std::countr_zero(lbits));
       cascaded = true;
       break;
     }

@@ -15,11 +15,19 @@
 //     up), so "next event" is found by scanning each level's occupancy
 //     bitmap upward from the current digit, lowest level first;
 //   - level-0 slots are aligned to the current 64 µs window and therefore
-//     hold exactly one timestamp each, which keeps same-tick FIFO ordering a
-//     per-slot min-seq scan rather than a sort.
+//     hold exactly one timestamp each.
 // Both invariants survive time advancing, because wheel time never passes a
 // pending entry and digits above an entry's level cannot change while the
 // clock stays at or below it.
+//
+// Every slot (and the overflow list) is also seq-sorted: direct inserts
+// append in increasing global sequence, a cascade only refills lower levels
+// that are completely empty, and overflow drains in order. place() asserts
+// it. Together with the one-timestamp rule this makes each level-0 slot a
+// FIFO queue: the same-tick minimum is the slot's head, so popping a burst
+// of k same-tick timers costs O(k), not the O(k^2) of re-scanning the slot
+// per pop. Higher-level slots and the overflow list hold many timestamps
+// and are still scanned for their (time, seq) minimum.
 //
 // peek() never mutates: it reports the exact (time, seq) minimum without
 // cascading, so a caller can stop at a time bound (run_until) and later
@@ -34,6 +42,7 @@
 // the owner decides they have accumulated (Simulator does this adaptively).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -92,29 +101,32 @@ class TimerWheel {
   Entry pop_min();
 
   /// Removes every entry for which `live(entry)` is false; returns how many
-  /// were dropped. Used to evict cancelled timers in bulk.
+  /// were dropped. Used to evict cancelled timers in bulk. Survivors keep
+  /// their order, and level-0 slots shed their consumed prefix.
   template <class LivePred>
   std::size_t purge(LivePred live) {
+    const auto dead = [&live](const Entry& e) { return !live(e); };
     std::size_t removed = 0;
     for (int l = 0; l < kLevels; ++l) {
       for (int s = 0; s < kSlots; ++s) {
         auto& v = wheel_[l][s];
         if (v.empty()) continue;
-        for (std::size_t i = v.size(); i-- > 0;) {
-          if (!live(v[i])) {
-            v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-            ++removed;
-          }
+        if (l == 0) {
+          // Drop the consumed prefix first: popped entries are not pending,
+          // so they must not count as removed.
+          v.erase(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(head0_[s]));
+          head0_[s] = 0;
         }
+        const std::size_t before = v.size();
+        v.erase(std::remove_if(v.begin(), v.end(), dead), v.end());
+        removed += before - v.size();
         if (v.empty()) occ_[l] &= ~(1ULL << s);
       }
     }
-    for (std::size_t i = overflow_.size(); i-- > 0;) {
-      if (!live(overflow_[i])) {
-        overflow_.erase(overflow_.begin() + static_cast<std::ptrdiff_t>(i));
-        ++removed;
-      }
-    }
+    const std::size_t before = overflow_.size();
+    overflow_.erase(std::remove_if(overflow_.begin(), overflow_.end(), dead),
+                    overflow_.end());
+    removed += before - overflow_.size();
     size_ -= removed;
     cached_ = false;
     return removed;
@@ -133,22 +145,28 @@ class TimerWheel {
     return diff == 0 ? 0 : (static_cast<int>(std::bit_width(diff)) - 1) / kSlotBits;
   }
 
-  /// Buckets `e` relative to cur_ (no size_ bookkeeping).
+  /// Buckets `e` relative to cur_ (no size_ bookkeeping). Entries must
+  /// arrive in increasing seq per slot; see the header comment.
   void place(const Entry& e) {
     const auto diff = static_cast<std::uint64_t>(e.at ^ cur_);
     if (diff >= kHorizon) {
+      LM_ASSERT(overflow_.empty() || overflow_.back().seq < e.seq);
       overflow_.push_back(e);
       return;
     }
     const int level = level_of(diff);
     const int idx =
         static_cast<int>((e.at >> (kSlotBits * level)) & (kSlots - 1));
-    wheel_[level][idx].push_back(e);
+    SlotVec& slot = wheel_[level][idx];
+    LM_ASSERT(slot.empty() || slot.back().seq < e.seq);
+    slot.push_back(e);
     occ_[level] |= 1ULL << idx;
   }
 
-  /// Index of the min-(at, seq) element of a non-empty slot vector.
-  static std::size_t min_index(const SlotVec& v);
+  /// The (at, seq) order: time first, schedule order among equal times.
+  static bool earlier(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  }
 
   /// Moves every entry of one higher-level slot down, after advancing cur_
   /// to the slot's range start.
@@ -165,15 +183,12 @@ class TimerWheel {
   std::uint64_t occ_[kLevels] = {};
   std::vector<Entry> overflow_;
 
+  // Index of the first unpopped entry of each level-0 slot; the slot is
+  // cleared (and its head reset) once the last entry pops.
+  std::size_t head0_[kSlots] = {};
+
   bool cached_ = false;  // cache_ holds the current minimum
   Entry cache_{};
-  // Location of cache_ when it sits in level 0: wheel_[0][cache_idx_]
-  // [cache_elem_]. Valid only while cached_ holds — inserts append (indices
-  // stable; an earlier arrival clears cached_) and purge clears cached_ —
-  // which lets pop_min() remove a just-peeked minimum without re-scanning.
-  bool cache_l0_ = false;
-  int cache_idx_ = 0;
-  std::size_t cache_elem_ = 0;
 };
 
 }  // namespace lm::sim

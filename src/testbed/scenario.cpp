@@ -479,35 +479,7 @@ std::string MeshScenario::dump_routing_tables() const {
 
 net::NodeStats MeshScenario::total_stats() const {
   net::NodeStats total;
-  for (const auto& node : nodes_) {
-    const net::NodeStats& s = node->stats();
-    total.beacons_sent += s.beacons_sent;
-    total.beacons_received += s.beacons_received;
-    total.routing_changes += s.routing_changes;
-    total.datagrams_sent += s.datagrams_sent;
-    total.datagrams_delivered += s.datagrams_delivered;
-    total.broadcasts_sent += s.broadcasts_sent;
-    total.broadcasts_delivered += s.broadcasts_delivered;
-    total.packets_forwarded += s.packets_forwarded;
-    total.dropped_no_route += s.dropped_no_route;
-    total.dropped_ttl += s.dropped_ttl;
-    total.dropped_queue_full += s.dropped_queue_full;
-    total.malformed_frames += s.malformed_frames;
-    total.foreign_frames += s.foreign_frames;
-    total.cad_busy_events += s.cad_busy_events;
-    total.forced_transmissions += s.forced_transmissions;
-    total.duty_cycle_delays += s.duty_cycle_delays;
-    total.control_bytes_sent += s.control_bytes_sent;
-    total.data_bytes_sent += s.data_bytes_sent;
-    total.control_airtime += s.control_airtime;
-    total.data_airtime += s.data_airtime;
-    total.transfers_started += s.transfers_started;
-    total.transfers_completed += s.transfers_completed;
-    total.transfers_failed += s.transfers_failed;
-    total.transfers_received += s.transfers_received;
-    total.fragments_sent += s.fragments_sent;
-    total.fragments_retransmitted += s.fragments_retransmitted;
-  }
+  for (const auto& node : nodes_) total += node->stats();
   return total;
 }
 

@@ -188,5 +188,85 @@ TEST(TimerWheel, RandomizedScheduleCancelMatchesReferenceModel) {
   EXPECT_EQ(sim.pending(), 0u);
 }
 
+TEST(TimerWheel, SynchronizedBurstSurvivesMidBurstPurge) {
+  // Thousands of nodes that boot together arm their maintenance timers at
+  // the same microsecond. Mid-burst, one handler cancels 1,800 of the
+  // queued timers: more than 1,024 dead entries and more dead than live, so
+  // the Simulator purges while the level-0 queue is partly consumed. Every
+  // seventh handler also schedules more work at the same tick. Everything
+  // must still fire in schedule order.
+  Simulator sim;
+  const TimePoint t = TimePoint::origin() + Duration::seconds(10);
+  constexpr int kBurst = 3000;
+  std::vector<int> fired;
+  std::vector<TimerId> ids;
+  int next_label = kBurst;  // labels follow schedule order
+  std::vector<int> expected;
+  for (int i = 0; i < kBurst; ++i) {
+    ids.push_back(sim.schedule_at(t, [&, i] {
+      fired.push_back(i);
+      if (i == 500) {
+        for (int j = 1000; j < kBurst; ++j) {
+          if (j % 10 != 0) sim.cancel(ids[static_cast<std::size_t>(j)]);
+        }
+      }
+      if (i % 7 == 0) {
+        const int label = next_label++;
+        expected.push_back(label);
+        sim.schedule_at(t, [&fired, label] { fired.push_back(label); });
+      }
+    }));
+  }
+  std::vector<int> burst;
+  for (int i = 0; i < kBurst; ++i) {
+    if (i < 1000 || i % 10 == 0) burst.push_back(i);
+  }
+  sim.run();
+  expected.insert(expected.begin(), burst.begin(), burst.end());
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.now(), t);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(TimerWheel, SameTimeBeyondHorizonFiresInScheduleOrder) {
+  // Both times lie beyond the 64^8 µs horizon. When the overflow list
+  // drains, the nearer group must enter its level-0 slot in schedule order;
+  // the farther group stays parked, also in order, until it drains next.
+  Simulator sim;
+  const Duration ten_years = Duration::hours(24 * 3650);
+  const Duration twenty_years = ten_years * 2;
+  std::vector<int> fired;
+  for (int i = 0; i < 8; ++i) {
+    sim.schedule_after(i % 2 == 0 ? ten_years : twenty_years,
+                       [&fired, i] { fired.push_back(i); });
+  }
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 2, 4, 6, 1, 3, 5, 7}));
+  EXPECT_EQ(sim.now().us(), twenty_years.us());
+}
+
+TEST(TimerWheel, PopAfterPeekReturnsAnEarlierInsert) {
+  TimerWheel wheel;
+  TimerWheel::Entry e{};
+  // Level 0: same 64 µs window as the wheel time.
+  wheel.insert({40, 1, 0, 1});
+  ASSERT_TRUE(wheel.peek(e));
+  EXPECT_EQ(e.seq, 1u);
+  wheel.insert({10, 2, 1, 1});
+  EXPECT_EQ(wheel.pop_min().seq, 2u);
+  wheel.insert({500, 3, 2, 1});
+  ASSERT_TRUE(wheel.peek(e));
+  EXPECT_EQ(e.seq, 1u);
+  EXPECT_EQ(wheel.pop_min().seq, 1u);
+  // Level 1: the peeked minimum comes from scanning a higher-level slot.
+  ASSERT_TRUE(wheel.peek(e));
+  EXPECT_EQ(e.seq, 3u);
+  wheel.insert({300, 4, 3, 1});
+  EXPECT_EQ(wheel.pop_min().seq, 4u);
+  EXPECT_EQ(wheel.pop_min().seq, 3u);
+  EXPECT_TRUE(wheel.empty());
+  EXPECT_EQ(wheel.current(), 500);
+}
+
 }  // namespace
 }  // namespace lm::sim

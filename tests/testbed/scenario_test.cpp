@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+
 #include "metrics/packet_tracker.h"
 #include "phy/path_loss.h"
 #include "testbed/topology.h"
@@ -164,6 +168,26 @@ TEST(MeshScenario, TotalStatsAggregates) {
             s.node(0).stats().beacons_sent + s.node(1).stats().beacons_sent);
   EXPECT_GT(total.beacons_sent, 0u);
   EXPECT_GT(total.control_bytes_sent, 0u);
+}
+
+TEST(MeshScenario, NodeStatsSumCoversEveryField) {
+  // NodeStats is a flat record of 64-bit counters (a Duration is one
+  // int64), so filling it word by word gives every field, including any
+  // added later, a distinct nonzero value without naming it here.
+  static_assert(sizeof(net::NodeStats) % sizeof(std::uint64_t) == 0);
+  constexpr std::size_t kWords = sizeof(net::NodeStats) / sizeof(std::uint64_t);
+  std::array<std::uint64_t, kWords> a{};
+  std::array<std::uint64_t, kWords> b{};
+  for (std::size_t i = 0; i < kWords; ++i) {
+    a[i] = i + 1;
+    b[i] = 1000 * (i + 1);
+  }
+  auto first = std::bit_cast<net::NodeStats>(a);
+  first += std::bit_cast<net::NodeStats>(b);
+  const auto sum = std::bit_cast<std::array<std::uint64_t, kWords>>(first);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    EXPECT_EQ(sum[i], 1001 * (i + 1)) << "word " << i;
+  }
 }
 
 }  // namespace
