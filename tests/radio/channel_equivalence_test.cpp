@@ -21,6 +21,7 @@
 #include "radio/virtual_radio.h"
 #include "sim/simulator.h"
 #include "support/rng.h"
+#include "trace/trace_sink.h"
 
 namespace lm::radio {
 namespace {
@@ -84,11 +85,15 @@ struct RunResult {
   ChannelStats stats;
 };
 
-RunResult run_script(const Script& s, bool indexed) {
+RunResult run_script(const Script& s, bool indexed, bool traced = false) {
   sim::Simulator sim;
   ChannelConfig policy;
   policy.spatial_index = indexed;
   Channel channel(sim, s.prop, policy, s.channel_seed);
+  trace::VectorSink sink;
+  trace::Tracer tracer;
+  tracer.attach(&sink);
+  if (traced) channel.set_tracer(&tracer);
 
   RunResult result;
   std::vector<std::unique_ptr<VirtualRadio>> radios;
@@ -245,6 +250,33 @@ TEST(ChannelEquivalence, MobileTopologiesMatchBruteForceBitForBit) {
         s, ("mobile seed " + std::to_string(seed)).c_str());
   }
   EXPECT_GT(culled, 0u);
+}
+
+// Without a tracer the channel counts a receiver below sensitivity without
+// drawing its fading when even the +4-sigma clamp cannot lift the mean RSSI
+// to sensitivity; with one it draws the value for the trace. Both must
+// reach the same outcome for every reception opportunity.
+TEST(ChannelEquivalence, TracerDoesNotChangeAnyOutcome) {
+  std::uint64_t below_sensitivity = 0;
+  for (std::uint64_t seed = 201; seed <= 212; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Script s = random_script(seed, /*mobile=*/seed % 2 == 0);
+    s.prop = PropagationConfig::campus();
+    const RunResult plain = run_script(s, /*indexed=*/true);
+    const RunResult traced = run_script(s, /*indexed=*/true, /*traced=*/true);
+    EXPECT_TRUE(plain.deliveries == traced.deliveries);
+    const ChannelStats& a = plain.stats;
+    const ChannelStats& b = traced.stats;
+    EXPECT_EQ(a.receptions_delivered, b.receptions_delivered);
+    EXPECT_EQ(a.dropped_below_sensitivity, b.dropped_below_sensitivity);
+    EXPECT_EQ(a.dropped_snr, b.dropped_snr);
+    EXPECT_EQ(a.dropped_collision, b.dropped_collision);
+    EXPECT_EQ(a.dropped_blocked_link, b.dropped_blocked_link);
+    EXPECT_EQ(a.dropped_not_listening, b.dropped_not_listening);
+    EXPECT_EQ(a.dropped_out_of_range, b.dropped_out_of_range);
+    below_sensitivity += a.dropped_below_sensitivity;
+  }
+  EXPECT_GT(below_sensitivity, 0u);
 }
 
 // --- Targeted mobility: cell-boundary crossings mid-flight -----------------
