@@ -26,7 +26,7 @@ FloodingNode::FloodingNode(sim::Simulator& sim, radio::Radio& radio,
                            std::uint64_t seed)
     : ctx_{&sim,          address, to_mesh_config(config),
            Rng(seed),     net::NodeStats{},
-           /*tracer=*/nullptr,     /*running=*/false},
+           /*tracer=*/nullptr,     /*running=*/false, sim::NodeClock{}},
       link_(ctx_, radio,
             net::LinkLayer::Callbacks{
                 decltype(net::LinkLayer::Callbacks::resolve_next_hop)::bind<

@@ -146,10 +146,10 @@ void LinkLayer::pump() {
   if (!ctx_.running || tx_phase_ != TxPhase::Idle) return;
   if (!current_) {
     if (!control_queue_.empty()) {
-      current_ = Outgoing{std::move(control_queue_.front()), 0};
+      current_ = Outgoing{std::move(control_queue_.front()), 0, Duration{}};
       control_queue_.pop_front();
     } else if (!data_queue_.empty()) {
-      current_ = Outgoing{std::move(data_queue_.front()), 0};
+      current_ = Outgoing{std::move(data_queue_.front()), 0, Duration{}};
       data_queue_.pop_front();
     } else {
       return;

@@ -37,7 +37,7 @@ MeshNode::MeshNode(sim::Simulator& sim, radio::Radio& radio, Address address,
     : radio_(radio),
       ctx_{&sim,          address, validated(config, address),
            Rng(seed),     NodeStats{},
-           /*tracer=*/nullptr,     /*running=*/false},
+           /*tracer=*/nullptr,     /*running=*/false, sim::NodeClock{}},
       // The callbacks bind member functions of this facade: FunctionRef is
       // non-owning, so the targets must outlive the layers — which they do,
       // because the facade owns every layer below.

@@ -1,7 +1,9 @@
 #include "net/routing_table.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <limits>
 
 #include "support/assert.h"
 #include "support/byte_codec.h"
@@ -19,28 +21,21 @@ RoutingTable::RoutingTable(Address self, Duration route_timeout,
   LM_REQUIRE(max_metric >= 2);
 }
 
+std::vector<RouteEntry>::iterator RoutingTable::position(Address destination) {
+  return std::lower_bound(entries_.begin(), entries_.end(), destination,
+                          [](const RouteEntry& e, Address d) {
+                            return e.destination < d;
+                          });
+}
+
 RouteEntry* RoutingTable::find(Address destination) {
-  const auto it = by_destination_.find(destination);
-  if (it == by_destination_.end()) return nullptr;
-  return &entries_[it->second];
+  const auto it = position(destination);
+  if (it == entries_.end() || it->destination != destination) return nullptr;
+  return &*it;
 }
 
 const RouteEntry* RoutingTable::find(Address destination) const {
   return const_cast<RoutingTable*>(this)->find(destination);
-}
-
-void RoutingTable::append(RouteEntry entry) {
-  by_destination_.try_emplace(entry.destination,
-                              static_cast<std::uint32_t>(entries_.size()));
-  entries_.push_back(entry);
-}
-
-void RoutingTable::reindex() {
-  by_destination_.clear();  // keeps capacity
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    by_destination_.try_emplace(entries_[i].destination,
-                                static_cast<std::uint32_t>(i));
-  }
 }
 
 bool RoutingTable::apply_beacon(Address neighbor,
@@ -50,10 +45,13 @@ bool RoutingTable::apply_beacon(Address neighbor,
   if (neighbor == self_) return false;  // own beacon echoed back — ignore
   bool changed = false;
   const TimePoint deadline = now + route_timeout_;
+  // Every hold timer written below is `deadline`, and step (a) writes one.
+  earliest_expiry_ = std::min(earliest_expiry_, deadline);
 
   // (a) The sender itself is a 1-hop neighbor. Its role arrives with its
   // metric-0 self entry in step (b); keep whatever we know meanwhile.
-  if (RouteEntry* direct = find(neighbor)) {
+  const auto direct = position(neighbor);
+  if (direct != entries_.end() && direct->destination == neighbor) {
     if (direct->metric != 1 || direct->via != neighbor) {
       direct->metric = 1;
       direct->via = neighbor;
@@ -62,14 +60,22 @@ bool RoutingTable::apply_beacon(Address neighbor,
     }
     direct->expires_at = deadline;
   } else {
-    append(RouteEntry{neighbor, neighbor, 1, roles::kNone, deadline});
+    notify(*entries_.insert(
+        direct, RouteEntry{neighbor, neighbor, 1, roles::kNone, deadline}));
     changed = true;
-    notify(entries_.back());
   }
 
   // (b) Bellman-Ford on the advertised entries. The sender's own metric-0
   // entry lands here too (adv.address == neighbor): it refreshes the direct
   // route and carries the sender's role.
+  //
+  // Beacons list destinations in ascending order (advertisement() emits
+  // them so), so one cursor merges the whole beacon into the table moving
+  // only forward. An address not above the previous one (a malformed or
+  // hostile frame) restarts the cursor at the top: same per-entry result
+  // for any input.
+  std::size_t at = 0;
+  Address previous = kUnassigned;
   for (const RoutingEntry& adv : entries) {
     if (adv.address == self_ || adv.address == kBroadcast ||
         adv.address == kUnassigned) {
@@ -78,25 +84,27 @@ bool RoutingTable::apply_beacon(Address neighbor,
     // Only the sender may claim metric 0 (its self entry); a zero metric
     // for anyone else is a malformed or spoofed advertisement.
     if (adv.metric == 0 && adv.address != neighbor) continue;
+    if (adv.address <= previous) at = 0;
+    previous = adv.address;
+    while (at < entries_.size() && entries_[at].destination < adv.address) ++at;
     const std::uint8_t candidate = static_cast<std::uint8_t>(
         std::min<int>(adv.metric + 1, max_metric_));
-    RouteEntry* cur = find(adv.address);
-    if (cur == nullptr) {
+    if (at == entries_.size() || entries_[at].destination != adv.address) {
       if (candidate < max_metric_) {
-        append(RouteEntry{adv.address, neighbor, candidate, adv.role, deadline});
+        const auto it = entries_.insert(
+            entries_.begin() + static_cast<std::ptrdiff_t>(at),
+            RouteEntry{adv.address, neighbor, candidate, adv.role, deadline});
         changed = true;
-        notify(entries_.back());
+        notify(*it);
       }
       continue;
     }
+    RouteEntry* cur = &entries_[at];
     if (cur->via == neighbor) {
       // Our next hop re-advertised the route: follow it unconditionally
       // (bad news must stick), withdrawing on saturation.
       if (candidate >= max_metric_ && adv.address != neighbor) {
-        std::erase_if(entries_, [&](const RouteEntry& e) {
-          return e.destination == adv.address;
-        });
-        reindex();
+        entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(at));
         changed = true;
         continue;
       }
@@ -129,12 +137,13 @@ bool RoutingTable::upsert(Address destination, Address via,
   if (destination == self_) return false;
   metric = std::min<std::uint8_t>(metric, max_metric_ - 1);
   const TimePoint deadline = now + route_timeout_;
-  RouteEntry* cur = find(destination);
-  if (cur == nullptr) {
-    append(RouteEntry{destination, via, metric, role, deadline});
-    notify(entries_.back());
+  earliest_expiry_ = std::min(earliest_expiry_, deadline);
+  const auto it = position(destination);
+  if (it == entries_.end() || it->destination != destination) {
+    notify(*entries_.insert(it, RouteEntry{destination, via, metric, role, deadline}));
     return true;
   }
+  RouteEntry* cur = &*it;
   const bool new_pairing = cur->via != via;
   const bool changed =
       new_pairing || cur->metric != metric || cur->role != role;
@@ -147,39 +156,55 @@ bool RoutingTable::upsert(Address destination, Address via,
 }
 
 bool RoutingTable::invalidate(Address destination) {
-  const std::size_t removed = std::erase_if(entries_, [&](const RouteEntry& e) {
-    return e.destination == destination;
-  });
-  if (removed != 0) reindex();
-  return removed != 0;
+  const auto it = position(destination);
+  if (it == entries_.end() || it->destination != destination) return false;
+  entries_.erase(it);
+  return true;
 }
 
 bool RoutingTable::touch(Address destination, TimePoint now) {
   RouteEntry* cur = find(destination);
   if (cur == nullptr) return false;
   cur->expires_at = now + route_timeout_;
+  earliest_expiry_ = std::min(earliest_expiry_, cur->expires_at);
   return true;
 }
 
 std::size_t RoutingTable::expire(TimePoint now) {
+  if (now < earliest_expiry_) return 0;  // no hold timer can have lapsed yet
   // Direct casualties: hold timer lapsed.
   std::size_t removed = std::erase_if(
       entries_, [now](const RouteEntry& e) { return e.expires_at <= now; });
-  if (removed == 0) return 0;
-  reindex();
   // Cascade: a route is only usable while its next hop is a live neighbor.
   // (Entries via a dead neighbor stop being refreshed and would lapse on
   // their own within one timeout; removing them now keeps the table
   // internally consistent — next_hop() never returns a vanished neighbor.)
-  // Each pass tests membership against the index snapshot from before the
-  // pass (the vector is in flux inside erase_if), iterating to fixed point.
-  for (;;) {
-    const std::size_t cascade = std::erase_if(entries_, [this](const RouteEntry& e) {
-      return e.via != e.destination && !by_destination_.contains(e.via);
-    });
-    reindex();
-    if (cascade == 0) break;
-    removed += cascade;
+  // Each pass marks entries against the table as it stood before the pass,
+  // then sweeps them, until a pass marks nothing.
+  if (removed != 0) {
+    std::vector<bool> orphaned;
+    for (;;) {
+      orphaned.assign(entries_.size(), false);
+      bool any = false;
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const RouteEntry& e = entries_[i];
+        if (e.via != e.destination && find(e.via) == nullptr) {
+          orphaned[i] = true;
+          any = true;
+        }
+      }
+      if (!any) break;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (!orphaned[i]) entries_[kept++] = entries_[i];
+      }
+      removed += entries_.size() - kept;
+      entries_.resize(kept);
+    }
+  }
+  earliest_expiry_ = TimePoint::max();
+  for (const RouteEntry& e : entries_) {
+    earliest_expiry_ = std::min(earliest_expiry_, e.expires_at);
   }
   return removed;
 }
@@ -218,20 +243,40 @@ std::optional<RouteEntry> RoutingTable::nearest_with_role(Role role_mask) const 
 }
 
 support::PooledVector<RoutingEntry> RoutingTable::advertisement() const {
-  support::PooledVector<RoutingEntry> adv;
-  adv.reserve(entries_.size() + 1);
-  adv.push_back(RoutingEntry{self_, 0, own_role_});  // carries our role
-  for (const RouteEntry& e : entries_) {
-    adv.push_back(RoutingEntry{e.destination, e.metric, e.role});
+  // The frame keeps the self entry (metric 0, carrying our role) and the
+  // nearest destinations: when everything does not fit, every entry below a
+  // cut metric plus the lowest addresses at the cut until the frame is
+  // full — what sorting by (metric, address) and truncating would keep,
+  // emitted in one pass in address order. A histogram of metrics finds the
+  // cut. Table entries have metric >= 1, so the self entry always survives.
+  std::size_t cut = std::numeric_limits<std::uint8_t>::max() + 1;
+  std::size_t room_at_cut = 0;
+  if (entries_.size() + 1 > kMaxRoutingEntries) {
+    std::array<std::uint32_t, std::numeric_limits<std::uint8_t>::max() + 1>
+        per_metric{};
+    for (const RouteEntry& e : entries_) ++per_metric[e.metric];
+    std::size_t room = kMaxRoutingEntries - 1;  // after the self entry
+    for (cut = 0; per_metric[cut] < room; ++cut) room -= per_metric[cut];
+    room_at_cut = room;
   }
-  std::sort(adv.begin(), adv.end(), [](const RoutingEntry& a, const RoutingEntry& b) {
-    if (a.metric != b.metric) return a.metric < b.metric;
-    return a.address < b.address;
-  });
-  if (adv.size() > kMaxRoutingEntries) adv.resize(kMaxRoutingEntries);
-  std::sort(adv.begin(), adv.end(), [](const RoutingEntry& a, const RoutingEntry& b) {
-    return a.address < b.address;
-  });
+
+  support::PooledVector<RoutingEntry> adv;
+  adv.reserve(std::min(entries_.size() + 1, kMaxRoutingEntries));
+  const RoutingEntry own{self_, 0, own_role_};
+  bool own_emitted = false;
+  for (const RouteEntry& e : entries_) {
+    if (!own_emitted && self_ < e.destination) {
+      adv.push_back(own);
+      own_emitted = true;
+    }
+    if (e.metric < cut) {
+      adv.push_back(RoutingEntry{e.destination, e.metric, e.role});
+    } else if (e.metric == cut && room_at_cut > 0) {
+      adv.push_back(RoutingEntry{e.destination, e.metric, e.role});
+      --room_at_cut;
+    }
+  }
+  if (!own_emitted) adv.push_back(own);
   return adv;
 }
 
@@ -275,7 +320,8 @@ bool RoutingTable::restore(std::span<const std::uint8_t> snapshot, TimePoint now
     if (!r.ok()) return false;
     if (remaining <= Duration::zero()) continue;  // lapsed while powered off
     if (e.destination == self_ || e.destination == kBroadcast ||
-        e.destination == kUnassigned || e.metric == 0 ||
+        e.destination == kUnassigned || e.via == self_ ||
+        e.via == kBroadcast || e.via == kUnassigned || e.metric == 0 ||
         e.metric > max_metric_) {
       return false;  // corrupt snapshot: refuse it wholesale
     }
@@ -283,22 +329,29 @@ bool RoutingTable::restore(std::span<const std::uint8_t> snapshot, TimePoint now
     restored.push_back(e);
   }
   if (!r.exhausted()) return false;
-  entries_ = std::move(restored);
-  reindex();
-  for (const RouteEntry& e : entries_) notify(e);
+  std::vector<RouteEntry> sorted = restored;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const RouteEntry& a, const RouteEntry& b) {
+              return a.destination < b.destination;
+            });
+  const auto twice = std::adjacent_find(
+      sorted.begin(), sorted.end(), [](const RouteEntry& a, const RouteEntry& b) {
+        return a.destination == b.destination;
+      });
+  if (twice != sorted.end()) return false;  // one destination listed twice
+  entries_ = std::move(sorted);
+  for (const RouteEntry& e : entries_) {
+    earliest_expiry_ = std::min(earliest_expiry_, e.expires_at);
+  }
+  for (const RouteEntry& e : restored) notify(e);  // in snapshot order
   return true;
 }
 
 std::string RoutingTable::to_string() const {
   std::string out = "routing table of " + lm::net::to_string(self_) + " (" +
                     std::to_string(entries_.size()) + " entries)\n";
-  std::vector<RouteEntry> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const RouteEntry& a, const RouteEntry& b) {
-              return a.destination < b.destination;
-            });
   char line[128];
-  for (const RouteEntry& e : sorted) {
+  for (const RouteEntry& e : entries_) {
     std::snprintf(line, sizeof line, "  dst=%s via=%s metric=%u role=%s\n",
                   lm::net::to_string(e.destination).c_str(),
                   lm::net::to_string(e.via).c_str(), e.metric,

@@ -9,6 +9,11 @@
 // saturate at kInfiniteMetric (treated as unreachable) and every entry
 // carries a hold timer refreshed only by its own next hop, so silent
 // neighbors age out together with everything learned through them.
+//
+// Storage is one vector sorted by destination: lookups binary-search it,
+// a beacon (listed in address order) merges into it in one forward pass,
+// and an expiry watermark lets the periodic sweep return at once until the
+// earliest hold timer can have lapsed.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +25,6 @@
 
 #include "net/address.h"
 #include "net/packet.h"
-#include "support/flat_map.h"
 #include "support/time.h"
 
 namespace lm::net {
@@ -52,7 +56,9 @@ class RoutingTable {
                Role own_role = roles::kNone);
 
   /// Applies one received beacon from `neighbor` (the frame's link source).
-  /// Returns true when any entry was added, removed, or changed.
+  /// Returns true when any entry was added, removed, or changed. Entries in
+  /// ascending address order (as advertisement() emits them) merge in one
+  /// forward pass; any other order gives the same result, only slower.
   bool apply_beacon(Address neighbor, std::span<const RoutingEntry> entries,
                     TimePoint now);
   bool apply_beacon(Address neighbor, std::initializer_list<RoutingEntry> entries,
@@ -102,13 +108,15 @@ class RoutingTable {
   Role own_role() const { return own_role_; }
 
   /// Entries to advertise in the next beacon: a metric-0 self entry (which
-  /// carries this node's role) followed by (destination, metric, role)
-  /// tuples, sorted by destination, truncated to what one frame can carry
-  /// (the lowest-metric — nearest — destinations win when truncating,
-  /// keeping the most reliable information flowing). Pool-backed so the
-  /// periodic beacon path recycles its storage.
+  /// carries this node's role) and (destination, metric, role) tuples, all
+  /// sorted by destination, truncated to what one frame can carry (the
+  /// lowest-metric — nearest — destinations win when truncating, ties to
+  /// the lower address, keeping the most reliable information flowing).
+  /// Pool-backed: the result always fits one pool block, so the periodic
+  /// beacon path recycles its storage.
   support::PooledVector<RoutingEntry> advertisement() const;
 
+  /// Every entry, in ascending destination order.
   const std::vector<RouteEntry>& entries() const { return entries_; }
   std::size_t size() const { return entries_.size(); }
   Address self() const { return self_; }
@@ -132,15 +140,16 @@ class RoutingTable {
   /// Restores a snapshot into an empty table, re-basing lifetimes on `now`
   /// minus `downtime` already elapsed (entries whose lifetime lapsed are
   /// skipped). Returns false — leaving the table unchanged — on malformed
-  /// input. Requires the table to be empty.
+  /// input, including a destination listed twice or a next hop that cannot
+  /// be a neighbor. Entries may come in any order. Requires the table to be
+  /// empty.
   bool restore(std::span<const std::uint8_t> snapshot, TimePoint now,
                Duration downtime = Duration::zero());
 
  private:
+  std::vector<RouteEntry>::iterator position(Address destination);
   RouteEntry* find(Address destination);
   const RouteEntry* find(Address destination) const;
-  void append(RouteEntry entry);
-  void reindex();
 
   void notify(const RouteEntry& entry) {
     if (observer_) observer_(entry);
@@ -151,13 +160,14 @@ class RoutingTable {
   std::function<void(const RouteEntry&)> observer_;
   std::uint8_t max_metric_;
   Role own_role_;
+  // Sorted by destination, one entry per destination. Forwarding does one
+  // next_hop() lookup per data packet: a binary search over tens of
+  // entries. Inserts and removals shift in place (the capacity is reused),
+  // and a beacon merges in one forward pass (see apply_beacon).
   std::vector<RouteEntry> entries_;
-  // destination -> index into entries_. Forwarding does one next_hop()
-  // lookup per data packet; a sorted flat map keeps that lookup inside one
-  // or two cache lines (tables hold tens of entries) and reuses its
-  // capacity across the rebuilds after removals (rare: expiry and
-  // withdrawals only).
-  support::FlatMap<Address, std::uint32_t> by_destination_;
+  // A lower bound on every entry's expires_at: lowered at every write of a
+  // hold timer, recomputed by each sweep. expire() does nothing before it.
+  TimePoint earliest_expiry_ = TimePoint::max();
 };
 
 }  // namespace lm::net

@@ -82,6 +82,7 @@ Channel::~Channel() = default;
 
 void Channel::register_radio(VirtualRadio& radio) {
   LM_REQUIRE(!by_id_.contains(radio.id()));
+  radio.channel_slot_ = static_cast<std::uint32_t>(radios_.size());
   radios_.push_back(&radio);
   radio.channel_ordinal_ = static_cast<std::uint32_t>(next_ordinal_++);
   by_id_.emplace(radio.id(), &radio);
@@ -97,11 +98,23 @@ void Channel::register_radio(VirtualRadio& radio) {
 }
 
 void Channel::unregister_radio(VirtualRadio& radio) {
-  std::erase(radios_, &radio);
   ++geometry_epoch_;
-  if (by_id_.erase(radio.id()) > 0 && grids_ready_) {
-    radio_grid_.remove(&radio, radio.position());
+  const std::uint32_t slot = radio.channel_slot_;
+  if (slot >= radios_.size() || radios_[slot] != &radio) return;  // not here
+  by_id_.erase(radio.id());
+  if (grids_ready_) radio_grid_.remove(&radio, radio.position());
+  // Leave a hole instead of shifting the list: tearing down N radios costs
+  // O(N) in total, and the survivors keep registration order for the
+  // brute-force walk. Holes are squeezed out once they are half the list.
+  radios_[slot] = nullptr;
+  if (2 * by_id_.size() >= radios_.size()) return;
+  std::size_t live = 0;
+  for (VirtualRadio* r : radios_) {
+    if (r == nullptr) continue;
+    r->channel_slot_ = static_cast<std::uint32_t>(live);
+    radios_[live++] = r;
   }
+  radios_.resize(live);
 }
 
 void Channel::radio_moved(VirtualRadio& radio, const phy::Position& old_position) {
@@ -129,7 +142,9 @@ void Channel::ensure_grids() const {
   const double cell =
       policy_.cell_size_m > 0.0 ? policy_.cell_size_m : derive_cell_size_m();
   radio_grid_.reset(cell);
-  for (VirtualRadio* r : radios_) radio_grid_.insert(r, r->position());
+  for (VirtualRadio* r : radios_) {
+    if (r != nullptr) radio_grid_.insert(r, r->position());
+  }
   tx_grid_.reset(cell);
   for (Transmission* t : active_) tx_grid_.insert(t, t->tx_pos);
   grids_ready_ = true;
@@ -312,7 +327,7 @@ void Channel::finish_tx(Transmission& frame) {
     // but the transmitter is a potential receiver; a ghost's transmitter,
     // or one destroyed mid-flight, is not registered here.
     const std::size_t others_total =
-        radios_.size() - (by_id_.contains(frame.tx_id) ? 1 : 0);
+        by_id_.size() - (by_id_.contains(frame.tx_id) ? 1 : 0);
     const Reach& reach = reach_of(frame);
     for (const ReachEntry& e : reach.entries) {
       evaluate_reception(frame, *e.radio, e.loss_db);
@@ -336,7 +351,7 @@ void Channel::finish_tx(Transmission& frame) {
     // reused so the steady state stays allocation-free.
     receivers_scratch_.assign(radios_.begin(), radios_.end());
     for (VirtualRadio* rx : receivers_scratch_) {
-      if (rx->id() == frame.tx_id) continue;
+      if (rx == nullptr || rx->id() == frame.tx_id) continue;
       evaluate_reception(frame, *rx,
                          link_loss_db(frame.tx_pos, frame.tx_id, *rx));
     }

@@ -297,6 +297,8 @@ class Channel {
   ChannelConfig policy_;
   const std::uint64_t seed_;
   mutable Rng rng_;
+  // Registered radios in registration order; an unregistered radio leaves
+  // a null hole until the next compaction (see unregister_radio).
   std::vector<VirtualRadio*> radios_;
   // Transmission records live in a slab deque (stable addresses — the
   // transmission grid holds pointers) and are recycled through spare_ once

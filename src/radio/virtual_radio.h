@@ -116,7 +116,7 @@ class VirtualRadio final : public Radio {
   void finish_tx();
 
  private:
-  friend class Channel;  // assigns channel_ordinal_ at registration
+  friend class Channel;  // assigns channel_ordinal_ and channel_slot_
 
   void enter(RadioState next);
 
@@ -126,6 +126,7 @@ class VirtualRadio final : public Radio {
   Channel* channel_;
   const RadioId id_;
   std::uint32_t channel_ordinal_ = 0;
+  std::uint32_t channel_slot_ = 0;  // index into the channel's radio list
   phy::Position position_;
   RadioConfig config_;
   RadioListener* listener_ = nullptr;

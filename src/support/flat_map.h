@@ -1,12 +1,12 @@
 // Sorted-vector flat map/set for small hot-path tables.
 //
-// Routing tables, transport session maps and dedup caches in this codebase
-// hold tens of entries, not thousands. At that size a contiguous sorted
-// vector beats node-based std::map/std::set on every axis that matters on
-// the per-packet path: lookups are a binary search over one or two cache
-// lines, iteration is linear memory, and — crucially for the steady-state
-// zero-allocation goal — insert/erase reuse the vector's capacity instead of
-// churning a heap node per element.
+// Transport session maps, link-quality tables and dedup caches in this
+// codebase hold tens of entries, not thousands. At that size a contiguous
+// sorted vector beats node-based std::map/std::set on every axis that
+// matters on the per-packet path: lookups are a binary search over one or
+// two cache lines, iteration is linear memory, and — crucially for the
+// steady-state zero-allocation goal — insert/erase reuse the vector's
+// capacity instead of churning a heap node per element.
 //
 // The API is the subset of std::map/std::set the protocol stack uses.
 // Iteration order is sorted by key, i.e. exactly std::map's order, so

@@ -67,7 +67,8 @@ class ReliableSenderTest : public ::testing::Test {
   FakeSink sink_;
   MeshConfig cfg_ = fast_config();
   // Sessions hang off the owning node's context (config, clock, tracer).
-  LayerContext ctx_{&sim_, kSelf, cfg_, Rng(1)};
+  LayerContext ctx_{&sim_, kSelf, cfg_, Rng(1), NodeStats{}, nullptr, false,
+                    sim::NodeClock{}};
   int completions_ = 0;
   bool last_result_ = false;
 
@@ -255,7 +256,8 @@ class ReliableReceiverTest : public ::testing::Test {
   sim::Simulator sim_;
   FakeSink sink_;
   MeshConfig cfg_ = fast_config();
-  LayerContext ctx_{&sim_, kSelf, cfg_, Rng(1)};
+  LayerContext ctx_{&sim_, kSelf, cfg_, Rng(1), NodeStats{}, nullptr, false,
+                    sim::NodeClock{}};
   std::vector<std::uint8_t> delivered_;
   int deliveries_ = 0;
 
@@ -328,7 +330,7 @@ TEST_F(ReliableReceiverTest, ReassemblesInOrderDelivery) {
 TEST_F(ReliableReceiverTest, ReassemblesOutOfOrderArrival) {
   const auto payload = pattern(1000);
   auto r = make(sync(1000));
-  for (std::uint16_t i : {4, 0, 2, 1, 3}) {
+  for (const int i : {4, 0, 2, 1, 3}) {
     r->on_fragment(fragment(payload, static_cast<std::uint16_t>(i)));
   }
   EXPECT_EQ(deliveries_, 1);

@@ -206,7 +206,7 @@ TEST(RoutingTableUpsert, InvalidateDropsImmediatelyAndKeepsIndexSound) {
   EXPECT_TRUE(t.invalidate(kB));
   EXPECT_FALSE(t.invalidate(kB));  // already gone
   EXPECT_FALSE(t.has_route(kB));
-  // The index survives the mid-vector removal: remaining lookups stay true.
+  // Lookups survive the mid-vector removal: the remaining routes resolve.
   EXPECT_EQ(t.next_hop(kA), kA);
   EXPECT_EQ(t.route_to(kC)->metric, 3);
 }
@@ -485,6 +485,25 @@ TEST(RoutingTableSnapshot, RejectsForeignAndCorruptSnapshots) {
   auto zero_metric = snapshot;
   zero_metric[9] = 0;  // metric field of the first entry
   EXPECT_FALSE(truncated_target.restore(zero_metric, at(1)));
+
+  // One destination listed twice: refused wholesale.
+  RoutingTable two(kSelf, kTimeout);
+  two.apply_beacon(kA, {}, at(0));
+  two.apply_beacon(kB, {}, at(0));
+  auto twice = two.serialize(at(0));
+  twice[15] = twice[5];  // second entry's destination := the first's
+  twice[16] = twice[6];
+  EXPECT_FALSE(truncated_target.restore(twice, at(1)));
+  EXPECT_EQ(truncated_target.size(), 0u);
+
+  // A next hop that is no neighbor (broadcast, unassigned, ourselves).
+  for (const Address via : {kBroadcast, kUnassigned, kSelf}) {
+    auto bad_via = snapshot;
+    bad_via[7] = static_cast<std::uint8_t>(via & 0xFF);  // via of the first entry
+    bad_via[8] = static_cast<std::uint8_t>(via >> 8);
+    EXPECT_FALSE(truncated_target.restore(bad_via, at(1))) << to_string(via);
+  }
+  EXPECT_EQ(truncated_target.size(), 0u);
 }
 
 TEST(RoutingTableSnapshot, EmptyTableSnapshotsFine) {
@@ -495,7 +514,7 @@ TEST(RoutingTableSnapshot, EmptyTableSnapshotsFine) {
   EXPECT_EQ(rebooted.size(), 0u);
 }
 
-// The destination index backing route_to()/next_hop() must agree with a
+// The sorted lookup backing route_to()/next_hop() must agree with a
 // linear scan of entries() after every kind of table churn: installs,
 // updates, withdrawals, expiry cascades, and snapshot restores.
 namespace {
@@ -549,7 +568,7 @@ TEST(RoutingTableIndex, LookupMatchesLinearScanThroughChurn) {
   expect_index_matches_entries(t);
   for (const RouteEntry& e : t.entries()) EXPECT_EQ(e.via, kB);
 
-  // Restore path rebuilds the index too.
+  // The restore path keeps lookups sound too.
   const auto snapshot = t.serialize(at(400));
   RoutingTable rebooted(kSelf, kTimeout);
   ASSERT_TRUE(rebooted.restore(snapshot, at(401)));

@@ -46,6 +46,11 @@ void* counted_aligned_alloc(std::size_t size, std::size_t alignment) {
   return p;
 }
 
+// Out of line: GCC otherwise inlines the replacement operator delete next
+// to an inlined replacement operator new and reports malloc'd memory
+// released by free() as a new/free mismatch.
+[[gnu::noinline]] void release(void* p) noexcept { std::free(p); }
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -83,21 +88,21 @@ void* operator new[](std::size_t size, std::align_val_t al,
   return counted_aligned_alloc(size, static_cast<std::size_t>(al));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { release(p); }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
 void operator delete(void* p, std::align_val_t, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 void operator delete[](void* p, std::align_val_t, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace lm::testbed {

@@ -3,6 +3,8 @@
 // membership changes, CAD window boundaries, stats accounting identities.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "phy/airtime.h"
 #include "radio/channel.h"
 #include "radio/virtual_radio.h"
@@ -157,6 +159,40 @@ TEST(ChannelEdge, UnregisteredRadioIsNoLongerEvaluated) {
                 s.dropped_blocked_link + s.dropped_modulation_mismatch +
                 s.dropped_out_of_range,
             1u);
+}
+
+TEST(ChannelEdge, RadiosLeavingInAnyOrderLeaveTheRestReachable) {
+  // Radios leave in scattered order (their slots are recycled along the
+  // way), one leaves twice; the survivors and a late joiner still hear the
+  // transmitter under both delivery policies, and nobody else is counted.
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "indexed" : "brute force");
+    sim::Simulator sim;
+    Channel channel(sim, PropagationConfig::free_space(),
+                    ChannelConfig{.spatial_index = indexed}, 1);
+    std::vector<std::unique_ptr<VirtualRadio>> radios;
+    for (RadioId id = 1; id <= 10; ++id) {
+      radios.push_back(std::make_unique<VirtualRadio>(
+          sim, channel, id, phy::Position{100.0 * id, 0}, RadioConfig{}));
+    }
+    channel.unregister_radio(*radios[4]);  // leaves early, then again below
+    for (const std::size_t i : {4u, 1u, 7u, 2u, 6u, 3u, 5u}) radios[i].reset();
+    VirtualRadio late(sim, channel, 11, {50, 0}, {});
+    Counter rx_9, rx_10, rx_late;
+    radios[8]->set_listener(&rx_9);
+    radios[9]->set_listener(&rx_10);
+    late.set_listener(&rx_late);
+    radios[8]->start_receive();
+    radios[9]->start_receive();
+    late.start_receive();
+    radios[0]->transmit(frame());
+    sim.run_for(Duration::seconds(1));
+    EXPECT_EQ(rx_9.frames, 1);
+    EXPECT_EQ(rx_10.frames, 1);
+    EXPECT_EQ(rx_late.frames, 1);
+    EXPECT_EQ(channel.stats().receptions_delivered, 3u);
+    EXPECT_EQ(channel.stats().dropped_out_of_range, 0u);
+  }
 }
 
 TEST(ChannelEdge, CadWindowBoundaryIsExclusive) {
